@@ -88,7 +88,7 @@ def load_constraints(path: str | Path) -> list[DenialConstraint]:
 def load_labels(path: str | Path, dataset: Dataset) -> TrainingSet:
     """Read a ``row,attribute,true_value`` labels CSV into a TrainingSet."""
     examples = []
-    with Path(path).open(newline="", encoding="utf-8") as f:
+    with Path(path).open(newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         required = {"row", "attribute", "true_value"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -121,7 +121,7 @@ def _parse_row_index(raw: str, dataset: Dataset, path: str | Path) -> int:
 def load_edits(path: str | Path, dataset: Dataset) -> dict[Cell, str]:
     """Read a ``row,attribute,value`` edits CSV into a cell→value mapping."""
     edits: dict[Cell, str] = {}
-    with Path(path).open(newline="", encoding="utf-8") as f:
+    with Path(path).open(newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         required = {"row", "attribute", "value"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
@@ -663,7 +663,7 @@ def _load_wire_edits(path: str | Path) -> list[dict]:
     tenant's relation; the client may not have a copy at all).
     """
     edits = []
-    with Path(path).open(newline="", encoding="utf-8") as f:
+    with Path(path).open(newline="", encoding="utf-8-sig") as f:
         reader = csv.DictReader(f)
         required = {"row", "attribute", "value"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):

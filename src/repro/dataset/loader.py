@@ -23,7 +23,7 @@ def read_csv(path: str | Path, missing_token: str = "") -> Dataset:
     just another string value; the paper's datasets use tokens like ``<NaN>``).
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as f:
+    with path.open(newline="", encoding="utf-8-sig") as f:
         reader = csv.reader(f)
         try:
             header = next(reader)

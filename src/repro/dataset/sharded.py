@@ -343,7 +343,7 @@ class ShardedDataset(Relation):
         import csv as _csv
 
         csv_path = Path(csv_path)
-        with csv_path.open(newline="", encoding="utf-8") as f:
+        with csv_path.open(newline="", encoding="utf-8-sig") as f:
             reader = _csv.reader(f)
             try:
                 header = next(reader)

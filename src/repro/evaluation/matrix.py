@@ -12,7 +12,8 @@ module makes that grid a first-class object:
   spec alone — independent of execution order, worker count, or executor;
 - :func:`run_scenario` executes one spec end-to-end (generate bundle →
   apply error profile → build method adapter → seeded trials);
-- :func:`run_matrix` fans specs out over a process/thread pool and streams
+- :func:`run_matrix` drains the specs through one claim loop — serial,
+  over a process/thread pool, or cooperatively across hosts — and streams
   finished records into a resumable
   :class:`~repro.evaluation.store.ResultStore`.
 
@@ -29,7 +30,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor, wait
-from contextlib import nullcontext
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -43,6 +44,7 @@ from repro.registry import REGISTRY, ComponentError
 from repro.evaluation.report import markdown_table
 from repro.evaluation.runner import ExperimentResult, run_trials
 from repro.evaluation.store import ResultStore
+from repro.nn.backend import set_default_backend, use_backend
 from repro.utils.timing import Timer
 
 #: Fingerprint format version; bump when the spec schema changes meaning.
@@ -389,8 +391,6 @@ def _init_worker(directory: str | None, backend: str | None) -> None:
     if directory is not None:
         set_default_store(ArtifactStore(directory=directory))
     if backend is not None:
-        from repro.nn.backend import set_default_backend
-
         set_default_backend(backend)
 
 
@@ -408,22 +408,6 @@ def _run_with_artifact_stats(runner: Callable[["ScenarioSpec"], dict], spec) -> 
         "record": record,
         "artifact_stats": {k: after[k] - before[k] for k in after},
     }
-
-
-def _ambient_store(artifact_dir: str | None):
-    """Context installing the in-process ambient artifact store, if any."""
-    if artifact_dir is None:
-        return nullcontext(None)
-    return use_store(ArtifactStore(directory=artifact_dir))
-
-
-def _ambient_backend(backend: str | None):
-    """Context installing the in-process ambient compute backend, if any."""
-    if backend is None:
-        return nullcontext(None)
-    from repro.nn.backend import use_backend
-
-    return use_backend(backend)
 
 
 #: Absolute ceiling on pool size — beyond this, worker startup cost
@@ -513,204 +497,51 @@ class SweepReport:
         return payload
 
 
-def _make_pool(
-    executor: str, workers: int, artifact_dir: str | None, backend: str | None
-) -> Executor:
-    if executor == "process":
-        if artifact_dir is not None or backend is not None:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=(artifact_dir, backend),
-            )
-        return ProcessPoolExecutor(max_workers=workers)
-    return ThreadPoolExecutor(max_workers=workers)
+class _InlineExecutor(Executor):
+    """Runs each task inside :meth:`submit`, on the calling thread.
 
-
-def run_matrix(
-    matrix: ScenarioMatrix,
-    store: ResultStore | None = None,
-    workers: int = 1,
-    resume: bool = False,
-    executor: str = "process",
-    on_result: Callable[[dict], None] | None = None,
-    scenario_runner: Callable[[ScenarioSpec], dict] = run_scenario,
-    artifact_dir: str | Path | None = None,
-    backend: str | None = None,
-    coordinate: "CoordinateOptions | None" = None,
-) -> SweepReport:
-    """Run every scenario in ``matrix``, fanning out over a worker pool.
-
-    With ``resume=True`` and a ``store``, scenarios whose fingerprint is
-    already on disk are served from the store (``record["cached"]`` is
-    True) and only the missing ones execute; every freshly executed record
-    is appended to the store as soon as it finishes, so a killed sweep
-    restarts where it left off.  Results are returned in expansion order
-    regardless of completion order, and each scenario is self-seeded, so
-    metrics are identical for any ``workers``/``executor`` choice.
-
-    ``executor`` is ``"process"`` (default; scenarios are CPU-bound),
-    ``"thread"``, or ``"serial"`` (in-process loop, also used when only one
-    worker is effective).  ``on_result`` is called in completion order from
-    the coordinating process.
-
-    ``artifact_dir`` attaches a shared fitted-artifact store directory
-    (:mod:`repro.artifacts`): every worker serves trained embeddings and
-    fitted featurizer states from it, so scenarios that fit the same
-    component on the same data (the Table-2 shape: many methods × budgets
-    × trials over one dirty relation) share one fit instead of retraining.
-    Fits are content-seeded, so metrics are bit-identical with or without
-    the store, at any worker count.
-
-    ``backend`` installs a process/thread-ambient compute backend
-    (:func:`repro.nn.backend.set_default_backend`) in every worker, so each
-    scenario's detector trains and scores on it without the name appearing
-    in any scenario fingerprint — metrics at float64 are bit-identical
-    across backends, so cached records stay valid.
-
-    ``coordinate`` switches to the cooperative claim-loop executor mode:
-    instead of partitioning the matrix up front, this invocation becomes
-    one of N independent workers (possibly on other hosts sharing the
-    store's filesystem) that *claim* scenarios one at a time through lease
-    files (:mod:`repro.coordination`) and drain the matrix together.
-    Requires a ``store`` (the shared completion ledger) and implies
-    ``resume`` — work already in the store is never re-claimed.
+    Serial sweeps share the pools' claim loop, but their scenarios must
+    run on the main thread: Ctrl-C is delivered there, and ``SIGALRM``
+    samplers (the benchmark harness's host sampler) only interrupt it.  A
+    one-thread pool would break both.  An ``Exception`` lands in the
+    returned future as it would from a pool; a ``BaseException``
+    (``KeyboardInterrupt``) propagates from ``submit`` at once.
     """
-    if executor not in _EXECUTORS:
-        raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
-    artifact_dir = str(artifact_dir) if artifact_dir is not None else None
-    if coordinate is not None:
-        return _run_coordinated(
-            matrix,
-            store,
-            workers=workers,
-            executor=executor,
-            on_result=on_result,
-            scenario_runner=scenario_runner,
-            artifact_dir=artifact_dir,
-            backend=backend,
-            coordinate=coordinate,
-        )
-    specs = matrix.expand()
-    fingerprints = [spec.fingerprint() for spec in specs]
-    records: dict[str, dict] = {}
-    pending: list[ScenarioSpec] = []
-    for spec, fingerprint in zip(specs, fingerprints):
-        stored = store.get(fingerprint) if (resume and store is not None) else None
-        if stored is not None:
-            record = dict(stored)
-            record["cached"] = True
-            records[fingerprint] = record
-            if on_result is not None:
-                on_result(record)
-        else:
-            pending.append(spec)
 
-    artifact_totals: dict[str, int] = {}
-    # The per-scenario stats envelope is only needed where the coordinator
-    # cannot see the store itself: the process executor.  In-process
-    # executors (serial/thread) read the single shared store's counters
-    # directly, which is also exact under thread interleaving.
-    wrap_stats = artifact_dir is not None and executor == "process"
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
-    def unwrap(result: dict) -> dict:
-        """Strip the artifact-stats envelope (present iff wrap_stats)."""
-        if not wrap_stats:
-            return result
-        delta = result.get("artifact_stats")
-        if delta:
-            for counter, value in delta.items():
-                artifact_totals[counter] = artifact_totals.get(counter, 0) + value
-        return result["record"]
 
-    def finish(record: dict) -> None:
-        record["cached"] = False
-        if store is not None:
-            store.put(record)
-        records[record["fingerprint"]] = record
-        if on_result is not None:
-            on_result(record)
+class _LocalWork:
+    """Single-host work source: the pending fingerprints, claimed in order.
 
-    def scenario_error(spec: ScenarioSpec, exc: Exception) -> RuntimeError:
-        return RuntimeError(
-            f"scenario {spec.dataset}/{spec.error_profile}/{spec.label_budget:g}"
-            f"/{spec.method} (fingerprint {spec.fingerprint()[:12]}) failed: {exc}"
-        )
+    No peer competes for them, so there is no lease to release, renew or
+    abort, every finished scenario is this worker's own, and the sweep has
+    drained once nothing is left to claim.
+    """
 
-    task: Callable[[ScenarioSpec], dict] = scenario_runner
-    if wrap_stats:
-        task = partial(_run_with_artifact_stats, scenario_runner)
+    def __init__(self, pending: list[str]):
+        self._pending = iter(pending)
 
-    effective = clamp_workers(workers, len(pending))
-    if pending:
-        if effective == 1 or executor == "serial":
-            effective = 1
-            with _ambient_store(artifact_dir) as shared, _ambient_backend(backend):
-                for spec in pending:
-                    try:
-                        result = task(spec)
-                    except Exception as exc:
-                        raise scenario_error(spec, exc) from exc
-                    finish(unwrap(result))
-                if shared is not None:
-                    # Exact totals straight from the single shared store.
-                    artifact_totals = shared.stats.as_dict()
-        else:
-            coordinator_store = (
-                _ambient_store(artifact_dir) if executor == "thread" else nullcontext(None)
-            )
-            with coordinator_store as shared, _make_pool(
-                executor, effective, artifact_dir, backend
-            ) as pool:
-                futures = {pool.submit(task, spec): spec for spec in pending}
-                not_done = set(futures)
-                try:
-                    while not_done:
-                        done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
-                        # The done set is unordered: flush every completed
-                        # sibling first so a failure never discards finished
-                        # work (the resume contract), then raise.
-                        failed = None
-                        for future in done:
-                            if future.exception() is not None:
-                                failed = failed or future
-                            else:
-                                finish(unwrap(future.result()))
-                        if failed is not None:
-                            # Drop queued-but-unstarted scenarios, but let
-                            # in-flight ones run to completion and flush
-                            # their records — a --resume rerun then repeats
-                            # only the failed scenario, not finished work.
-                            pool.shutdown(wait=False, cancel_futures=True)
-                            for future in not_done:
-                                # wait() must not be used here: futures
-                                # cancelled by the shutdown queue-drain never
-                                # reach CANCELLED_AND_NOTIFIED, so wait()
-                                # would block forever.  exception() blocks
-                                # only on genuinely in-flight work.
-                                if not future.cancelled() and future.exception() is None:
-                                    finish(unwrap(future.result()))
-                            exc = failed.exception()
-                            raise scenario_error(futures[failed], exc) from exc
-                except BaseException:
-                    # Interrupts and store failures: don't burn CPU
-                    # finishing a doomed sweep.
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    raise
-                if shared is not None:
-                    artifact_totals = shared.stats.as_dict()
-    return SweepReport(
-        matrix=matrix,
-        records=[records[fingerprint] for fingerprint in fingerprints],
-        executed=len(pending),
-        cached=len(specs) - len(pending),
-        workers=effective,
-        artifacts=(
-            None
-            if artifact_dir is None
-            else {"dir": artifact_dir, "stats": artifact_totals}
-        ),
-    )
+    def claim(self, busy: set[str]) -> str | None:
+        return next(self._pending, None)
+
+    def owns(self, fingerprint: str) -> bool:
+        return True
+
+    def release(self, fingerprint: str, event: str = "release") -> None:
+        pass
+
+    def idle(self) -> bool:
+        return True
+
+    def abort(self) -> None:
+        pass
 
 
 @dataclass(frozen=True)
@@ -725,108 +556,59 @@ class CoordinateOptions:
     this forfeits its in-flight scenarios to the survivors.  Size it to a
     small multiple of the longest expected scenario *claim-to-heartbeat*
     gap — i.e. filesystem latency, not scenario runtime (heartbeats renew
-    during execution) — 60 s is comfortable on NFS.  ``heartbeat_interval``
-    defaults to ``ttl / 4``; ``poll_interval`` is the idle re-scan period
-    while other workers hold the remaining scenarios.
+    every ``ttl / 4`` during execution) — 60 s is comfortable on NFS.
+    ``poll_interval`` is the idle re-scan period while other workers hold
+    the remaining scenarios.
     """
 
     directory: str | Path | None = None
     worker_id: str | None = None
     ttl: float = 60.0
-    heartbeat_interval: float | None = None
     poll_interval: float | None = None
 
 
-def _coordinated_error(spec: ScenarioSpec, exc: BaseException) -> RuntimeError:
-    return RuntimeError(
-        f"scenario {spec.dataset}/{spec.error_profile}/{spec.label_budget:g}"
-        f"/{spec.method} (fingerprint {spec.fingerprint()[:12]}) failed: {exc}"
-    )
-
-
-def _run_coordinated(
-    matrix: ScenarioMatrix,
-    store: ResultStore | None,
-    workers: int,
-    executor: str,
-    on_result: Callable[[dict], None] | None,
-    scenario_runner: Callable[[ScenarioSpec], dict],
-    artifact_dir: str | None,
-    backend: str | None,
-    coordinate: CoordinateOptions,
-) -> SweepReport:
-    """The claim-loop executor: drain the matrix as one cooperating worker.
+class _LeasedWork:
+    """Multi-host work source: scenarios are claimed through lease files
+    (:mod:`repro.coordination`) in competition with peer workers, and the
+    store is the completion ledger.
 
     Control flow per slot: *completion scan* (only fingerprints missing
     from the store are candidates — finished work is never re-claimed,
     even across restarts) → *claim* (atomic lease create; losing the race
     just moves on) → *execute* → *append to the store* → *release*.  When
     nothing is claimable but the matrix is not drained, the worker polls:
-    other workers' completions arrive via :meth:`ResultStore.refresh`, and
-    leases whose heartbeat exceeded the TTL are reclaimed so a killed
-    worker's scenarios re-enter the pool.  The invocation returns only
-    when the *whole* matrix is complete, with records for every scenario —
-    locally executed or not.
+    other workers' completions arrive via :meth:`ResultStore.refresh`
+    (reported through ``on_refresh``), and leases whose heartbeat exceeded
+    the TTL are reclaimed so a killed worker's scenarios re-enter the pool.
+    The sweep returns only when the *whole* matrix is complete.
     """
-    from repro.coordination import HeartbeatThread, WorkQueue, coordination_dir
 
-    if store is None:
-        raise ValueError(
-            "coordinated sweeps need a store: it is the shared completion ledger"
+    def __init__(
+        self,
+        store: ResultStore,
+        fingerprints: list[str],
+        coordinate: CoordinateOptions,
+        on_refresh: Callable[[], None],
+    ):
+        from repro.coordination import HeartbeatThread, WorkQueue, coordination_dir
+
+        directory = (
+            Path(coordinate.directory)
+            if coordinate.directory is not None
+            else coordination_dir(store.path)
         )
-    specs = matrix.expand()
-    fingerprints = [spec.fingerprint() for spec in specs]
-    by_fp = dict(zip(fingerprints, specs))
-    directory = (
-        Path(coordinate.directory)
-        if coordinate.directory is not None
-        else coordination_dir(store.path)
-    )
-    queue = WorkQueue(directory, worker_id=coordinate.worker_id, ttl=coordinate.ttl)
-    poll = (
-        coordinate.poll_interval
-        if coordinate.poll_interval is not None
-        else min(1.0, queue.ttl / 4.0)
-    )
+        self.queue = WorkQueue(directory, worker_id=coordinate.worker_id, ttl=coordinate.ttl)
+        self.poll = (
+            coordinate.poll_interval
+            if coordinate.poll_interval is not None
+            else min(1.0, self.queue.ttl / 4.0)
+        )
+        self.heartbeat = HeartbeatThread(self.queue)
+        self.store = store
+        self.fingerprints = fingerprints
+        self.on_refresh = on_refresh
 
-    store.refresh()
-    initially_cached = sum(1 for fp in fingerprints if fp in store)
-    executed_local: set[str] = set()
-    reported: set[str] = set()
-
-    def report(fingerprint: str, record: dict) -> None:
-        reported.add(fingerprint)
-        if on_result is not None:
-            on_result(record)
-
-    def stored_record(fingerprint: str, remote: bool) -> dict:
-        record = dict(store.get(fingerprint) or {})
-        record["cached"] = True
-        if remote:
-            record["remote"] = True
-        return record
-
-    for fp in fingerprints:
-        if fp in store:
-            report(fp, stored_record(fp, remote=False))
-
-    wrap_stats = artifact_dir is not None and executor == "process"
-    artifact_totals: dict[str, int] = {}
-
-    def unwrap(result: dict) -> dict:
-        if not wrap_stats:
-            return result
-        delta = result.get("artifact_stats")
-        if delta:
-            for counter, value in delta.items():
-                artifact_totals[counter] = artifact_totals.get(counter, 0) + value
-        return result["record"]
-
-    task: Callable[[ScenarioSpec], dict] = scenario_runner
-    if wrap_stats:
-        task = partial(_run_with_artifact_stats, scenario_runner)
-
-    def claim_next(busy: set[str]) -> str | None:
+    def claim(self, busy: set[str]) -> str | None:
         """Claim the next runnable scenario; None when nothing claimable.
 
         After winning a claim the store is re-scanned: the lease may have
@@ -834,155 +616,283 @@ def _run_coordinated(
         our completion scan and the claim — then the claim is released
         unused (``skip``) instead of re-executing done work.
         """
-        for fp in store.missing(fingerprints):
+        for fp in self.store.missing(self.fingerprints):
             if fp in busy:
                 continue
-            if not queue.claim(fp):
+            if not self.queue.claim(fp):
                 continue
-            store.refresh()
-            if fp in store:
-                queue.release(fp, event="skip")
+            self.store.refresh()
+            if fp in self.store:
+                self.queue.release(fp, event="skip")
                 continue
-            queue.audit("execute", fp)
+            self.queue.audit("execute", fp)
             return fp
         return None
 
-    def finish_local(fingerprint: str, result: dict) -> None:
+    def owns(self, fingerprint: str) -> bool:
         # Check the lease *before* the put: a worker that slept past its
         # TTL was reclaimed, and the scenario now belongs to whoever
         # re-claimed it.  Writing our record anyway would double-write the
         # store (latest-wins keeps it correct, but the audit would show a
         # completion from a worker that no longer held the lease).  The
         # "lost" audit event was already appended at detection time by
-        # renew(); here we abandon the record and let note_remote() report
+        # renew(); here we abandon the record and let on_refresh report
         # the new owner's result.
-        if fingerprint in heartbeat.lost or fingerprint not in queue.held():
-            queue.audit("abandoned", fingerprint)
-            return
-        record = unwrap(result)
-        record["cached"] = False
-        store.put(record)
-        executed_local.add(fingerprint)
-        queue.release(fingerprint, event="complete")
-        report(fingerprint, dict(record))
+        if fingerprint in self.heartbeat.lost or fingerprint not in self.queue.held():
+            self.queue.audit("abandoned", fingerprint)
+            return False
+        return True
+
+    def release(self, fingerprint: str, event: str = "release") -> None:
+        self.queue.release(fingerprint, event=event)
+
+    def idle(self) -> bool:
+        """One poll iteration; True when the matrix has fully drained."""
+        self.store.refresh()
+        self.on_refresh()
+        missing = self.store.missing(self.fingerprints)
+        if not missing:
+            return True
+        if not self.queue.reclaim_stale(missing):
+            time.sleep(self.poll)
+        return False
+
+    def abort(self) -> None:
+        # Interrupted: free every lease still held so surviving workers
+        # pick the scenarios up without waiting for the TTL (our discarded
+        # in-flight results don't count — whoever re-runs them lands the
+        # same bits anyway).
+        for fp in self.queue.held():
+            self.queue.release(fp, event="abort")
+
+
+def _drive(
+    source: _LocalWork | _LeasedWork,
+    pool: Executor,
+    slots: int,
+    task: Callable[[ScenarioSpec], dict],
+    specs: Mapping[str, ScenarioSpec],
+    finish: Callable[[str, dict], None],
+) -> None:
+    """The claim loop behind every sweep: keep up to ``slots`` claimed
+    scenarios in flight on ``pool`` and ``finish`` each as it completes,
+    until ``source`` reports the matrix drained.
+
+    A failed scenario never discards finished work (the resume contract):
+    completed siblings are flushed, unstarted claims are freed, in-flight
+    ones run to completion and are flushed too, and only then is the
+    failure raised, naming its grid point.  Interrupts and store failures
+    don't burn CPU finishing a doomed sweep: queued work is cancelled and
+    every held claim aborted.
+    """
+    in_flight: dict[Future, str] = {}
+    try:
+        while True:
+            while len(in_flight) < slots:
+                fp = source.claim(set(in_flight.values()))
+                if fp is None:
+                    break
+                in_flight[pool.submit(task, specs[fp])] = fp
+            if not in_flight:
+                if source.idle():
+                    return
+                continue
+            done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
+            # The done set is unordered: flush every completed sibling
+            # first, then raise.
+            failed: tuple[str, BaseException] | None = None
+            for future in done:
+                fp = in_flight.pop(future)
+                exc = future.exception()
+                if exc is not None:
+                    # Free the lease: another worker may retry.
+                    source.release(fp, event="failed")
+                    failed = failed or (fp, exc)
+                else:
+                    finish(fp, future.result())
+            if failed is not None:
+                pool.shutdown(wait=False, cancel_futures=True)
+                for future, fp in in_flight.items():
+                    # wait() must not be used here: futures cancelled by
+                    # the shutdown queue-drain never reach
+                    # CANCELLED_AND_NOTIFIED, so wait() would block
+                    # forever.  exception() blocks only on genuinely
+                    # in-flight work.
+                    if future.cancelled():
+                        source.release(fp)
+                    elif future.exception() is not None:
+                        source.release(fp, event="failed")
+                    else:
+                        finish(fp, future.result())
+                spec, exc = specs[failed[0]], failed[1]
+                raise RuntimeError(
+                    f"scenario {spec.dataset}/{spec.error_profile}/{spec.label_budget:g}"
+                    f"/{spec.method} (fingerprint {failed[0][:12]}) failed: {exc}"
+                ) from exc
+    except BaseException:
+        pool.shutdown(wait=False, cancel_futures=True)
+        source.abort()
+        raise
+
+
+def run_matrix(
+    matrix: ScenarioMatrix,
+    store: ResultStore | None = None,
+    workers: int = 1,
+    resume: bool = False,
+    executor: str = "process",
+    on_result: Callable[[dict], None] | None = None,
+    scenario_runner: Callable[[ScenarioSpec], dict] = run_scenario,
+    artifact_dir: str | Path | None = None,
+    backend: str | None = None,
+    coordinate: CoordinateOptions | None = None,
+) -> SweepReport:
+    """Run every scenario in ``matrix``, fanning out over a worker pool.
+
+    With ``resume=True`` and a ``store``, scenarios whose fingerprint is
+    already on disk are served from the store (``record["cached"]`` is
+    True) and only the missing ones execute; every freshly executed record
+    is appended to the store as soon as it finishes, so a killed sweep
+    restarts where it left off.  Results are returned in expansion order
+    regardless of completion order, and each scenario is self-seeded, so
+    metrics are identical for any ``workers``/``executor`` choice.
+
+    ``executor`` is ``"process"`` (default; scenarios are CPU-bound),
+    ``"thread"``, or ``"serial"`` (scenarios run on the calling thread,
+    also used when only one worker is effective).  Every executor runs
+    through one claim loop; a single-host sweep claims from its own list
+    of pending scenarios.  ``on_result`` is called in completion order
+    from the coordinating process.
+
+    ``artifact_dir`` attaches a shared fitted-artifact store directory
+    (:mod:`repro.artifacts`): every worker serves trained embeddings and
+    fitted featurizer states from it, so scenarios that fit the same
+    component on the same data (the Table-2 shape: many methods × budgets
+    × trials over one dirty relation) share one fit instead of retraining.
+    Fits are content-seeded, so metrics are bit-identical with or without
+    the store, at any worker count.
+
+    ``backend`` installs a process-ambient compute backend
+    (:func:`repro.nn.backend.set_default_backend`) for every scenario:
+    around the loop for the serial and thread executors, through the pool
+    initializer for the process executor.  Each scenario's detector trains
+    and scores on it without the name appearing in any scenario
+    fingerprint — metrics at float64 are bit-identical across backends, so
+    cached records stay valid.
+
+    ``coordinate`` makes this invocation one of N independent workers
+    (possibly on other hosts sharing the store's filesystem) that *claim*
+    scenarios one at a time through lease files (:mod:`repro.coordination`)
+    instead of owning a fixed list, and drain the matrix together.
+    Requires a ``store`` (the shared completion ledger) and implies
+    ``resume`` — work already in the store is never re-claimed.
+    """
+    if executor not in _EXECUTORS:
+        raise ValueError(f"unknown executor {executor!r}; choose from {_EXECUTORS}")
+    artifact_dir = str(artifact_dir) if artifact_dir is not None else None
+    if coordinate is not None:
+        if store is None:
+            raise ValueError(
+                "coordinated sweeps need a store: it is the shared completion ledger"
+            )
+        store.refresh()
+        resume = True
+    specs = {spec.fingerprint(): spec for spec in matrix.expand()}
+    fingerprints = list(specs)
+    records: dict[str, dict] = {}
+
+    def report(record: dict, remote: bool = False) -> None:
+        records[record["fingerprint"]] = record
+        if on_result is not None:
+            on_result({**record, "remote": True} if remote else record)
+
+    if resume and store is not None:
+        for fp in fingerprints:
+            if fp in store:
+                report({**store.get(fp), "cached": True})  # type: ignore[dict-item]
+    pending = [fp for fp in fingerprints if fp not in records]
 
     def note_remote() -> None:
         """Report scenarios other workers completed since the last scan."""
         for fp in fingerprints:
-            if fp not in reported and fp in store:
-                report(fp, stored_record(fp, remote=True))
+            if fp not in records and fp in store:  # type: ignore[operator]
+                report({**store.get(fp), "cached": True}, remote=True)  # type: ignore[union-attr]
 
-    def idle_step() -> bool:
-        """One poll iteration; True when the matrix has fully drained."""
-        store.refresh()
-        note_remote()
-        missing = store.missing(fingerprints)
-        if not missing:
-            return True
-        if not queue.reclaim_stale(missing):
-            time.sleep(poll)
-        return False
+    source = (
+        _LocalWork(pending)
+        if coordinate is None
+        else _LeasedWork(store, fingerprints, coordinate, note_remote)  # type: ignore[arg-type]
+    )
+    effective = 1 if executor == "serial" else clamp_workers(workers, len(pending))
+    # In-process executors (serial/thread) share the coordinator's ambient
+    # store and backend and read that one store's counters directly, which
+    # is also exact under thread interleaving.  Process workers get both
+    # from the pool initializer and report per-scenario counter deltas.
+    in_process = effective == 1 or executor == "thread"
+    executed: set[str] = set()
+    artifact_totals: dict[str, int] = {}
 
-    effective = clamp_workers(workers, max(len(store.missing(fingerprints)), 1))
-    heartbeat = HeartbeatThread(queue, coordinate.heartbeat_interval)
+    def finish(fingerprint: str, result: dict) -> None:
+        if not source.owns(fingerprint):
+            return
+        if not in_process:
+            for counter, value in (result["artifact_stats"] or {}).items():
+                artifact_totals[counter] = artifact_totals.get(counter, 0) + value
+            result = result["record"]
+        result["cached"] = False
+        if store is not None:
+            store.put(result)
+        executed.add(fingerprint)
+        source.release(fingerprint, event="complete")
+        report(result)
 
-    if effective == 1 or executor == "serial":
-        effective = 1
-        with _ambient_store(artifact_dir) as shared, _ambient_backend(backend), heartbeat:
-            while True:
-                fp = claim_next(set())
-                if fp is None:
-                    if idle_step():
-                        break
-                    continue
-                try:
-                    result = task(by_fp[fp])
-                except BaseException as exc:
-                    queue.release(fp, event="failed")
-                    if isinstance(exc, Exception):
-                        raise _coordinated_error(by_fp[fp], exc) from exc
-                    raise
-                finish_local(fp, result)
-            if shared is not None:
-                artifact_totals = shared.stats.as_dict()
-    else:
-        coordinator_store = (
-            _ambient_store(artifact_dir) if executor == "thread" else nullcontext(None)
-        )
-        with coordinator_store as shared, heartbeat, _make_pool(
-            executor, effective, artifact_dir, backend
-        ) as pool:
-            in_flight: dict[Future, str] = {}
-            try:
-                while True:
-                    while len(in_flight) < effective:
-                        fp = claim_next(set(in_flight.values()))
-                        if fp is None:
-                            break
-                        in_flight[pool.submit(task, by_fp[fp])] = fp
-                    if not in_flight:
-                        if idle_step():
-                            break
-                        continue
-                    done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                    failed: tuple[str, Future] | None = None
-                    for future in done:
-                        fp = in_flight.pop(future)
-                        if future.exception() is not None:
-                            # Free the lease: another worker may retry.
-                            queue.release(fp, event="failed")
-                            failed = failed or (fp, future)
-                        else:
-                            finish_local(fp, future.result())
-                    if failed is not None:
-                        # Flush finished siblings, free unstarted claims,
-                        # then raise — mirrors run_matrix's contract that a
-                        # failure never discards completed work.
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        for future in list(in_flight):
-                            fp = in_flight.pop(future)
-                            if future.cancelled():
-                                queue.release(fp)
-                            elif future.exception() is not None:
-                                queue.release(fp, event="failed")
-                            else:
-                                finish_local(fp, future.result())
-                        exc = failed[1].exception()
-                        raise _coordinated_error(by_fp[failed[0]], exc) from exc
-            except BaseException:
-                # Interrupted: free every lease still held so surviving
-                # workers pick the scenarios up without waiting for the
-                # TTL (our discarded in-flight results don't count —
-                # whoever re-runs them lands the same bits anyway).
-                pool.shutdown(wait=False, cancel_futures=True)
-                for fp in queue.held():
-                    queue.release(fp, event="abort")
-                raise
+    # A plain sweep with nothing pending starts no pool and opens no store,
+    # so its artifact stats stay empty.  A coordinated one always enters the
+    # loop: its first idle step confirms the drain against the refreshed
+    # ledger.
+    if pending or coordinate is not None:
+        with ExitStack() as stack:
+            shared = None
+            if in_process:
+                task = scenario_runner
+                pool: Executor = (
+                    ThreadPoolExecutor(effective) if effective > 1 else _InlineExecutor()
+                )
+                if artifact_dir is not None:
+                    shared = stack.enter_context(use_store(ArtifactStore(directory=artifact_dir)))
+                if backend is not None:
+                    stack.enter_context(use_backend(backend))
+            else:
+                task = partial(_run_with_artifact_stats, scenario_runner)
+                pool = ProcessPoolExecutor(
+                    effective, initializer=_init_worker, initargs=(artifact_dir, backend)
+                )
+            if isinstance(source, _LeasedWork):
+                stack.enter_context(source.heartbeat)
+            _drive(source, stack.enter_context(pool), effective, task, specs, finish)
             if shared is not None:
                 artifact_totals = shared.stats.as_dict()
 
-    records = []
-    for fp in fingerprints:
-        record = dict(store.get(fp) or {})
-        record["cached"] = fp not in executed_local
-        records.append(record)
+    coordination = None
+    if isinstance(source, _LeasedWork):
+        coordination = {
+            "dir": str(source.queue.directory),
+            "worker": source.queue.worker_id,
+            "ttl": source.queue.ttl,
+            "executed": len(executed),
+            "remote": len(pending) - len(executed),
+            "initially_cached": len(fingerprints) - len(pending),
+        }
     return SweepReport(
         matrix=matrix,
-        records=records,
-        executed=len(executed_local),
-        cached=len(specs) - len(executed_local),
+        records=[records[fp] for fp in fingerprints],
+        executed=len(executed),
+        cached=len(fingerprints) - len(executed),
         workers=effective,
         artifacts=(
             None
             if artifact_dir is None
             else {"dir": artifact_dir, "stats": artifact_totals}
         ),
-        coordination={
-            "dir": str(queue.directory),
-            "worker": queue.worker_id,
-            "ttl": queue.ttl,
-            "executed": len(executed_local),
-            "remote": len(specs) - len(executed_local) - initially_cached,
-            "initially_cached": initially_cached,
-        },
+        coordination=coordination,
     )

@@ -57,6 +57,15 @@ class TestFileLoaders:
         assert len(training) == 31
         assert len(training.errors) == 1
 
+    def test_load_labels_accepts_a_utf8_bom(self, workspace, tmp_path):
+        _, data_path, labels_path, _ = workspace
+        from repro.dataset import read_csv
+
+        bom_labels = tmp_path / "bom_labels.csv"
+        bom_labels.write_bytes(b"\xef\xbb\xbf" + labels_path.read_bytes())
+        training = load_labels(bom_labels, read_csv(data_path))
+        assert len(training) == 31
+
     def test_load_labels_validates_attribute(self, workspace, tmp_path):
         _, data_path, _, _ = workspace
         from repro.dataset import read_csv

@@ -31,6 +31,13 @@ class TestCsvRoundtrip:
         write_csv(d, path)
         assert read_csv(path) == d
 
+    def test_utf8_bom_is_not_part_of_the_first_attribute(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfa,b\n1,2\n")
+        loaded = read_csv(path)
+        assert loaded.attributes == ("a", "b")
+        assert loaded.column("a") == ["1"]
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("a,b\n")

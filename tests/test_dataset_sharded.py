@@ -261,6 +261,13 @@ class TestIngestion:
         sharded = ShardedDataset.from_csv(csv_path, tmp_path / "shards", shard_rows=2)
         assert sharded.fingerprint() == read_csv(csv_path).fingerprint()
 
+    def test_from_csv_drops_a_utf8_bom_like_read_csv(self, tmp_path):
+        csv_path = tmp_path / "bom.csv"
+        csv_path.write_bytes(b"\xef\xbb\xbfa,b\n1,x\n2,y\n")
+        sharded = ShardedDataset.from_csv(csv_path, tmp_path / "shards", shard_rows=1)
+        assert sharded.attributes == ("a", "b")
+        assert sharded.fingerprint() == read_csv(csv_path).fingerprint()
+
     def test_convert_refuses_existing_without_force(self, tmp_path):
         dataset = Dataset.from_rows(["a"], [["1"]])
         ShardedDataset.convert(dataset, tmp_path / "s")

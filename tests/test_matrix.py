@@ -7,7 +7,9 @@ import threading
 
 import pytest
 
+from repro.coordination import coordination_dir, iter_leases, read_audit
 from repro.evaluation.matrix import (
+    CoordinateOptions,
     MatrixSpecError,
     ScenarioMatrix,
     ScenarioSpec,
@@ -340,7 +342,19 @@ class TestRunMatrix:
         with pytest.raises(ValueError, match="unknown executor"):
             run_matrix(matrix, executor="carrier-pigeon")
 
-    @pytest.mark.parametrize("kwargs", [dict(), dict(workers=4, executor="thread")])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(),
+            dict(workers=4, executor="thread"),
+            dict(executor="serial", coordinate=CoordinateOptions(worker_id="w", ttl=30.0)),
+            dict(
+                workers=4,
+                executor="thread",
+                coordinate=CoordinateOptions(worker_id="w", ttl=30.0),
+            ),
+        ],
+    )
     def test_failing_scenario_names_the_grid_point(self, tmp_path, kwargs):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
         boom = matrix.expand()[2].fingerprint()
@@ -363,6 +377,73 @@ class TestRunMatrix:
         # --resume rerun (with the bug fixed) picks up from the store.
         assert 0 < len(store) < 8
         assert boom not in store.fingerprints
+        if "coordinate" in kwargs:
+            # Every claim was completed or released: peers can retry the
+            # failed scenario at once, without waiting out the TTL.
+            coord = coordination_dir(store.path)
+            assert list(iter_leases(coord)) == []
+            failed = [e["fingerprint"] for e in read_audit(coord) if e["event"] == "failed"]
+            assert failed == [boom]
+
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_interrupt_aborts_every_held_lease(self, tmp_path, executor):
+        matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
+        fingerprints = [s.fingerprint() for s in matrix.expand()]
+        store = ResultStore(tmp_path / "store.jsonl")
+        options = CoordinateOptions(worker_id="w", ttl=30.0)
+        if executor == "serial":
+            # Ctrl-C lands on the main thread, which runs the scenario.
+            def runner(s):
+                if s.fingerprint() == fingerprints[2]:
+                    raise KeyboardInterrupt
+                return fake_runner(s)
+
+            kwargs = dict(scenario_runner=runner)
+            aborted = {fingerprints[2]}
+        else:
+            # Ctrl-C lands on the main thread as it finishes the first of
+            # the four claimed scenarios; the other three are still held.
+            finished: list[str] = []
+
+            def interrupt(record):
+                finished.append(record["fingerprint"])
+                raise KeyboardInterrupt
+
+            kwargs = dict(scenario_runner=fake_runner, on_result=interrupt, workers=4)
+        with pytest.raises(KeyboardInterrupt):
+            run_matrix(matrix, store=store, executor=executor, coordinate=options, **kwargs)
+        if executor == "thread":
+            aborted = set(fingerprints[:4]) - set(finished)
+        coord = coordination_dir(store.path)
+        assert list(iter_leases(coord)) == []
+        events = read_audit(coord)
+        assert {e["fingerprint"] for e in events if e["event"] == "abort"} == aborted
+        assert not [e for e in events if e["event"] == "failed"]
+
+    @pytest.mark.parametrize("coordinated", [False, True], ids=["plain", "coordinated"])
+    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    def test_backend_reaches_every_scenario(self, tmp_path, executor, coordinated):
+        from repro.nn.backend import default_backend_name
+
+        matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
+        seen: list[str] = []
+
+        def recording_runner(s):
+            seen.append(default_backend_name())
+            return fake_runner(s)
+
+        report = run_matrix(
+            matrix,
+            store=ResultStore(tmp_path / "store.jsonl") if coordinated else None,
+            workers=4,
+            executor=executor,
+            scenario_runner=recording_runner,
+            backend="reference",
+            coordinate=CoordinateOptions(ttl=30.0) if coordinated else None,
+        )
+        assert report.executed == 8
+        assert seen == ["reference"] * 8
+        assert default_backend_name() == "numpy"
 
     def test_report_table_and_json(self):
         matrix = ScenarioMatrix.from_dict(SMALL_MATRIX)
